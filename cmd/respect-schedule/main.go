@@ -115,12 +115,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		runBatch(ctx, solver.PortfolioScheduler("portfolio("+*portfolio+")", solver.PortfolioOptions{}, members...), graphs, *stages, *jobs)
+		runBatch(ctx, solver.NewEngine(members, 256, solver.PortfolioOptions{}), graphs, *stages, *jobs)
 	case len(graphs) == 1:
 		b := lookupBackend(name)
 		runSingle(ctx, *timeout, b, graphs[0], *stages, *simulate, *dotPath)
 	default:
-		runBatch(ctx, solver.NewCached(lookupBackend(name), 256), graphs, *stages, *jobs)
+		runBatch(ctx, solver.NewEngine([]solver.Scheduler{lookupBackend(name)}, 256, solver.PortfolioOptions{}), graphs, *stages, *jobs)
 	}
 }
 
@@ -235,7 +235,7 @@ func runPortfolio(ctx context.Context, budget time.Duration, names []string, g *
 		log.Fatal(err)
 	}
 	start := time.Now()
-	res, err := solver.Portfolio(ctx, backends, g, stages)
+	res, err := solver.Portfolio(ctx, backends, g, stages, solver.PortfolioOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func PortfolioStudy(ctx context.Context, names []string, stages []int, backendNa
 			var res solver.PortfolioResult
 			elapsed, err := perf.TimeOnce(func() error {
 				var perr error
-				res, perr = solver.Portfolio(ictx, backends, g, ns)
+				res, perr = solver.Portfolio(ictx, backends, g, ns, solver.PortfolioOptions{})
 				return perr
 			})
 			cancel()

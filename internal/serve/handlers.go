@@ -270,9 +270,7 @@ const retryAfterBudgetCap = 4
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	_ = enc.Encode(v) // the status line is out; nothing sane to do on error
+	_ = json.NewEncoder(w).Encode(v) // the status line is out; nothing sane to do on error
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -486,7 +484,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	cacheConsult := "miss"
 	if override != nil {
 		cacheConsult = "bypass" // ad-hoc portfolios skip the class memo
-		pres, perr := solver.PortfolioOpt(ctx, override, g, numStages,
+		pres, perr := solver.Portfolio(ctx, override, g, numStages,
 			solver.PortfolioOptions{Patience: st.policy.Patience})
 		s.ins.ObserveOutcomes(string(class), pres.Outcomes)
 		res, err = pres, perr
@@ -594,7 +592,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if backendName == "" {
 		backendName = "heur"
 	}
-	cache, err := s.batchCache(backendName)
+	// The batch engines' handles are dynamic, so agent re-registration
+	// takes effect without invalidating unrelated backends.
+	engine, err := s.batchEngines.For(backendName)
 	if err != nil {
 		s.observeRequest(class, outcomeInvalid, arrival)
 		writeError(w, http.StatusBadRequest, "%s", err.Error())
@@ -636,11 +636,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var items []BatchItemJSON
 	if s.cluster != nil && !isForwarded(r) {
 		if groups := s.batchForwardGroups(graphs); len(groups) > 0 {
-			items = s.runClusteredBatch(ctx, cache, graphs, numStages, class, backendName, jobs, groups)
+			items = s.runClusteredBatch(ctx, engine, graphs, numStages, class, backendName, jobs, groups)
 		}
 	}
 	if items == nil {
-		results, _ := solver.Batch(ctx, cache, graphs, numStages, jobs)
+		results, _ := solver.Batch(ctx, engine, graphs, numStages, jobs)
 		items = make([]BatchItemJSON, len(results))
 		for i, res := range results {
 			items[i] = batchItemJSON(i, res)

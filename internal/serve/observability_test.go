@@ -6,6 +6,7 @@ package serve_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,7 +16,10 @@ import (
 	"testing"
 	"time"
 
+	"respect/internal/graph"
+	"respect/internal/sched"
 	"respect/internal/serve"
+	"respect/internal/solver"
 )
 
 // scrapeMetrics GETs /metrics and parses the text exposition into a
@@ -170,6 +174,57 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 	cnt := metricValue(t, series, page, `respect_request_duration_seconds_count{class="interactive",outcome="ok"}`)
 	if inf != cnt {
 		t.Errorf("+Inf bucket %v != count %v", inf, cnt)
+	}
+}
+
+// truncatedBackend always reports its (valid) schedule as a budget-cut
+// incumbent, like an anytime solver at deadline expiry.
+type truncatedBackend struct{}
+
+func (truncatedBackend) Name() string { return "obs-test-trunc" }
+
+func (b truncatedBackend) Schedule(ctx context.Context, g *graph.Graph, numStages int) (sched.Schedule, error) {
+	s, _, err := b.ScheduleInfo(ctx, g, numStages)
+	return s, err
+}
+
+func (truncatedBackend) ScheduleInfo(ctx context.Context, g *graph.Graph, numStages int) (sched.Schedule, solver.Info, error) {
+	return sched.NewSchedule(g.NumNodes(), numStages), solver.Info{Truncated: true}, nil
+}
+
+// TestBatchTruncatedItemVisibleAndUncached: a budget-cut /v1/batch item
+// is flagged on the wire, counted by the batch engine's truncation
+// counter, and never stored — the same request misses again.
+func TestBatchTruncatedItemVisibleAndUncached(t *testing.T) {
+	registerBackend(t, truncatedBackend{})
+	_, ts := newTestServer(t, serve.Config{WarmModels: []string{}})
+	req := serve.BatchRequest{Models: []string{"ResNet50"}, Stages: 4, Backend: "obs-test-trunc", Jobs: 1}
+	for i := 1; i <= 2; i++ {
+		resp, data := postJSON(t, ts.URL+"/v1/batch", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, resp.StatusCode, data)
+		}
+		var out serve.BatchResponse
+		decodeInto(t, data, &out)
+		if len(out.Items) != 1 || out.Items[0].Error != "" {
+			t.Fatalf("request %d: want one solved item, got %+v", i, out.Items)
+		}
+		if item := out.Items[0]; !item.Truncated || item.CacheHit {
+			t.Fatalf("request %d: truncated=%v cache_hit=%v, want a flagged miss", i, item.Truncated, item.CacheHit)
+		}
+		series, page := scrapeMetrics(t, ts.URL)
+		for _, c := range []struct {
+			series string
+			want   float64
+		}{
+			{`respect_portfolio_truncations_total{engine="batch/obs-test-trunc",backend="obs-test-trunc"}`, float64(i)},
+			{`respect_schedule_cache_ops_total{cache="batch/obs-test-trunc",op="miss"}`, float64(i)},
+			{`respect_schedule_cache_ops_total{cache="batch/obs-test-trunc",op="hit"}`, 0},
+		} {
+			if got := metricValue(t, series, page, c.series); got != c.want {
+				t.Errorf("request %d: %s = %v, want %v", i, c.series, got, c.want)
+			}
+		}
 	}
 }
 

@@ -189,7 +189,7 @@ const maxStages = 64
 type classState struct {
 	policy ClassPolicy
 	adm    *admission
-	engine *solver.CachedPortfolio
+	engine *solver.Engine
 	spec   *speculate.Speculator // nil unless speculation is on for this class
 }
 
@@ -204,8 +204,8 @@ type Server struct {
 	requests atomic.Uint64
 	warmed   atomic.Int64
 
-	batchCaches *solver.CacheSet
-	speculators []*speculate.Speculator // the warm-marked classes' warmers
+	batchEngines *solver.CacheSet        // one single-backend Engine per /v1/batch backend
+	speculators  []*speculate.Speculator // the warm-marked classes' warmers
 
 	// Observability: one registry per server, holding the serve-layer
 	// families below plus the solver-layer Instruments. Admission counters
@@ -289,11 +289,11 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	s := &Server{
-		cfg:         cfg,
-		classes:     make(map[Class]*classState, len(cfg.Classes)),
-		start:       time.Now(),
-		batchCaches: solver.NewCacheSet(solver.Default(), cfg.CacheSize),
-		onlineMgr:   onlineMgr,
+		cfg:          cfg,
+		classes:      make(map[Class]*classState, len(cfg.Classes)),
+		start:        time.Now(),
+		batchEngines: solver.NewCacheSet(solver.Default(), cfg.CacheSize),
+		onlineMgr:    onlineMgr,
 	}
 	for class, policy := range cfg.Classes {
 		if class == "" {
@@ -324,7 +324,7 @@ func New(cfg Config) (*Server, error) {
 		s.classes[class] = &classState{
 			policy: policy,
 			adm:    newAdmission(policy.MaxConcurrent, policy.MaxQueue),
-			engine: solver.NewCachedPortfolio(backends, cfg.CacheSize, solver.PortfolioOptions{Patience: policy.Patience}),
+			engine: solver.NewEngine(backends, cfg.CacheSize, solver.PortfolioOptions{Patience: policy.Patience}),
 		}
 	}
 	s.initMetrics()
@@ -361,7 +361,7 @@ func New(cfg Config) (*Server, error) {
 }
 
 // initMetrics registers the serve-layer metric families and wires every
-// class engine, admission controller and batch cache into the server's
+// class engine, admission controller and batch engine into the server's
 // registry. Counters that mirror /v1/stats are function-backed on the
 // same atomics, so the two views always agree.
 func (s *Server) initMetrics() {
@@ -402,7 +402,7 @@ func (s *Server) initMetrics() {
 		activeGauge.Func(func() float64 { return float64(adm.active()) }, string(class))
 		queuedGauge.Func(func() float64 { return float64(adm.queued()) }, string(class))
 	}
-	s.batchCaches.Instrument(s.ins, "batch/")
+	s.batchEngines.Instrument(s.ins, "batch/")
 }
 
 // Metrics returns the server's metrics registry, for embedding servers
@@ -440,13 +440,6 @@ func (s *Server) class(name string, fallback Class) (Class, *classState, error) 
 		return c, nil, fmt.Errorf("unknown class %q (have %v)", name, have)
 	}
 	return c, st, nil
-}
-
-// batchCache returns the server-owned fingerprint cache wrapping one named
-// backend; the set's handles are dynamic, so agent re-registration takes
-// effect without invalidating unrelated backends.
-func (s *Server) batchCache(name string) (*solver.Cached, error) {
-	return s.batchCaches.For(name)
 }
 
 // WarmUp pre-schedules the configured zoo models (Config.WarmModels; the

@@ -42,7 +42,7 @@ type SpeculationConfig struct {
 // failed races — the engine itself never caches those, so Contains after
 // Run is the honest answer.
 type engineTarget struct {
-	eng *solver.CachedPortfolio
+	eng *solver.Engine
 }
 
 // Contains implements speculate.Target.

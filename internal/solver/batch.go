@@ -23,8 +23,8 @@ type BatchResult struct {
 	Err error
 	// Elapsed is the instance's solve wall time.
 	Elapsed time.Duration
-	// CacheHit reports that the schedule came from a Cached wrapper's
-	// fingerprint cache rather than a fresh solve.
+	// CacheHit reports that the schedule came from an Engine's
+	// fingerprint memo rather than a fresh solve.
 	CacheHit bool
 	// Deduped reports that this graph was a within-batch duplicate (same
 	// structural fingerprint as an earlier graph) and its schedule was
@@ -54,19 +54,25 @@ func Batch(ctx context.Context, b Scheduler, graphs []*graph.Graph, numStages, j
 		jobs = len(graphs)
 	}
 
-	hitter, _ := b.(interface {
-		ScheduleTracked(ctx context.Context, g *graph.Graph, numStages int) (sched.Schedule, bool, Info, error)
-	})
+	// An Engine memoizes by fingerprint; any other backend runs alone,
+	// uncached, through the same race so both report one result shape.
+	engine, cached := b.(*Engine)
+	run := func(ctx context.Context, g *graph.Graph, numStages int) (PortfolioResult, bool, error) {
+		res, err := Portfolio(ctx, []Scheduler{b}, g, numStages, PortfolioOptions{})
+		return res, false, err
+	}
+	if cached {
+		run = engine.Run
+	}
 
 	// Within-batch fingerprint dedup: replay batches routinely repeat
-	// graphs, and hashing is ~10⁴× cheaper than a solve. Only safe when
-	// the backend is cache-wrapped (hitter != nil) — a Cached backend
-	// already promises fingerprint-equal graphs the same schedule, so
-	// copying the representative's result cannot change semantics. Bare
-	// stochastic backends keep solving every instance.
+	// graphs, and hashing is ~10⁴× cheaper than a solve. Only safe for an
+	// Engine — it already promises fingerprint-equal graphs the same
+	// schedule, so copying the representative's result cannot change
+	// semantics. Bare stochastic backends keep solving every instance.
 	dupOf := map[int]int{} // duplicate index -> representative index
 	feedList := make([]int, 0, len(graphs))
-	if hitter != nil && len(graphs) > 1 {
+	if cached && len(graphs) > 1 {
 		rep := make(map[uint64]int, len(graphs))
 		for i, g := range graphs {
 			fp := g.Fingerprint()
@@ -90,24 +96,17 @@ func Batch(ctx context.Context, b Scheduler, graphs []*graph.Graph, numStages, j
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				r := &results[i]
-				r.Index = i
-				r.Graph = graphs[i]
 				start := time.Now()
-				var info Info
-				if hitter != nil {
-					r.Schedule, r.CacheHit, info, r.Err = hitter.ScheduleTracked(ctx, graphs[i], numStages)
-				} else {
-					r.Schedule, info, r.Err = ScheduleInfo(ctx, b, graphs[i], numStages)
-				}
-				r.Truncated = info.Truncated
-				r.Elapsed = time.Since(start)
-				if r.Err == nil {
-					if verr := r.Schedule.Validate(graphs[i]); verr != nil {
-						r.Err = verr
-					} else {
-						r.Cost = r.Schedule.Evaluate(graphs[i])
-					}
+				res, hit, err := run(ctx, graphs[i], numStages)
+				results[i] = BatchResult{
+					Index:     i,
+					Graph:     graphs[i],
+					Schedule:  res.Schedule,
+					Cost:      res.Cost,
+					Err:       err,
+					Elapsed:   time.Since(start),
+					CacheHit:  hit,
+					Truncated: res.Truncated,
 				}
 			}
 		}()
@@ -134,7 +133,6 @@ feed:
 	// once the workers drain. Each fill counts as a cache hit — the
 	// dedup is an optimization over querying the cache, not a semantic
 	// change, so Stats must not depend on it.
-	recorder, _ := b.(interface{ RecordExternalHit() })
 	for j, i := range dupOf {
 		r := &results[j]
 		src := results[i]
@@ -147,9 +145,7 @@ feed:
 			r.Cost = src.Cost
 			r.CacheHit = true
 			r.Truncated = src.Truncated
-			if recorder != nil {
-				recorder.RecordExternalHit()
-			}
+			engine.lru.recordHit()
 		}
 	}
 	return results, ctx.Err()

@@ -20,8 +20,14 @@ func trivialSolve(ctx context.Context, g *graph.Graph, numStages int) (sched.Sch
 	return sched.Schedule{NumStages: numStages, Stage: stage}, nil
 }
 
-// fill schedules n distinct graphs through c, returning them in order.
-func fillCached(t *testing.T, c *Cached, n, stages int) []uint64 {
+// trivialEngine is a one-member engine over trivialSolve.
+func trivialEngine(capacity int) *Engine {
+	return NewEngine([]Scheduler{NewFunc("t", trivialSolve)}, capacity, PortfolioOptions{})
+}
+
+// fillCached schedules n distinct graphs through c, returning their
+// fingerprints in order.
+func fillCached(t *testing.T, c *Engine, n, stages int) []uint64 {
 	t.Helper()
 	fps := make([]uint64, n)
 	for i := 0; i < n; i++ {
@@ -35,7 +41,7 @@ func fillCached(t *testing.T, c *Cached, n, stages int) []uint64 {
 }
 
 func TestCachedOnEvictReportsKeys(t *testing.T) {
-	c := NewCached(NewFunc("t", trivialSolve), 2)
+	c := trivialEngine(2)
 	var evicted []uint64
 	var stagesSeen []int
 	c.OnEvict(func(fp uint64, numStages int) {
@@ -55,7 +61,7 @@ func TestCachedOnEvictReportsKeys(t *testing.T) {
 }
 
 func TestCachedMultipleEvictHooksRunInOrder(t *testing.T) {
-	c := NewCached(NewFunc("t", trivialSolve), 1)
+	c := trivialEngine(1)
 	var order []string
 	c.OnEvict(func(uint64, int) { order = append(order, "a") })
 	c.OnEvict(func(uint64, int) { order = append(order, "b") })
@@ -68,7 +74,7 @@ func TestCachedMultipleEvictHooksRunInOrder(t *testing.T) {
 // TestCachedPopularityAwareEviction: with a scorer installed, cold
 // entries are evicted ahead of a hot-but-older one.
 func TestCachedPopularityAwareEviction(t *testing.T) {
-	c := NewCached(NewFunc("t", trivialSolve), 3)
+	c := trivialEngine(3)
 	hot := chain(111, 222, 333)
 	score := map[uint64]float64{hot.Fingerprint(): 100}
 	c.SetEvictionScorer(func(fp uint64, numStages int) float64 { return score[fp] })
@@ -96,7 +102,7 @@ func TestCachedPopularityAwareEviction(t *testing.T) {
 // key still lands in the cache (displacing the lowest-scoring resident),
 // otherwise put is a silent no-op and the key re-solves forever.
 func TestCachedScorerNeverEvictsFreshInsert(t *testing.T) {
-	c := NewCached(NewFunc("t", trivialSolve), 2)
+	c := trivialEngine(2)
 	score := map[uint64]float64{}
 	c.SetEvictionScorer(func(fp uint64, numStages int) float64 { return score[fp] })
 
@@ -120,8 +126,10 @@ func TestCachedScorerNeverEvictsFreshInsert(t *testing.T) {
 	}
 }
 
+// TestCachedPortfolioOnEvictAndScorer runs the hook and scorer contract
+// on a two-member race; the tests above run it on one-member engines.
 func TestCachedPortfolioOnEvictAndScorer(t *testing.T) {
-	p := NewCachedPortfolio([]Scheduler{NewFunc("t", trivialSolve)}, 2, PortfolioOptions{})
+	p := NewEngine([]Scheduler{NewFunc("t", trivialSolve), NewFunc("u", trivialSolve)}, 2, PortfolioOptions{})
 	hot := chain(111, 222, 333)
 	score := map[uint64]float64{hot.Fingerprint(): 100}
 	p.SetEvictionScorer(func(fp uint64, numStages int) float64 { return score[fp] })

@@ -34,49 +34,62 @@ func expositionOf(t *testing.T, reg *metrics.Registry) string {
 	return b.String()
 }
 
+// TestInstrumentedCachedPortfolio drives a one-member engine (named like
+// a serving batch engine) and a two-member race on one registry: every
+// miss runs a race, so both report latency and win/loss telemetry.
 func TestInstrumentedCachedPortfolio(t *testing.T) {
 	reg := metrics.NewRegistry()
 	ins := NewInstruments(reg, nil)
-	backends, err := Resolve("heur", "compiler")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewCachedPortfolio(backends, 8, PortfolioOptions{})
-	p.Instrument(ins, "interactive")
-
-	g := chainGraph(t, "ins", 6)
-	for i := 0; i < 3; i++ { // 1 miss (one race), then 2 hits (no race)
-		if _, _, err := p.Run(context.Background(), g, 3); err != nil {
+	for _, tc := range []struct {
+		engine  string
+		members []string
+	}{
+		{"batch/heur", []string{"heur"}},
+		{"interactive", []string{"heur", "compiler"}},
+	} {
+		backends, err := Resolve(tc.members...)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
+		p := NewEngine(backends, 8, PortfolioOptions{})
+		p.Instrument(ins, tc.engine)
 
-	page := expositionOf(t, reg)
-	for _, want := range []string{
-		`respect_schedule_cache_ops_total{cache="interactive",op="hit"} 2`,
-		`respect_schedule_cache_ops_total{cache="interactive",op="miss"} 1`,
-		`respect_schedule_cache_ops_total{cache="interactive",op="evict"} 0`,
-		`respect_backend_schedule_duration_seconds_count{engine="interactive",backend="heur"} 1`,
-		`respect_backend_schedule_duration_seconds_count{engine="interactive",backend="compiler"} 1`,
-	} {
-		if !strings.Contains(page, want) {
-			t.Errorf("exposition missing %q", want)
+		g := chainGraph(t, "ins", 6)
+		for i := 0; i < 3; i++ { // 1 miss (one race), then 2 hits (no race)
+			if _, _, err := p.Run(context.Background(), g, 3); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	// Exactly one race ran, so wins across the portfolio must sum to 1 and
-	// every member was observed once (win or loss).
-	hits, misses := p.Stats()
-	if hits != 2 || misses != 1 {
-		t.Fatalf("stats (%d hits, %d misses), want (2, 1)", hits, misses)
-	}
-	winSum := 0
-	for _, b := range []string{"heur", "compiler"} {
-		if strings.Contains(page, fmt.Sprintf(`respect_portfolio_wins_total{engine="interactive",backend="%s"} 1`, b)) {
-			winSum++
+
+		page := expositionOf(t, reg)
+		want := []string{
+			fmt.Sprintf(`respect_schedule_cache_ops_total{cache="%s",op="hit"} 2`, tc.engine),
+			fmt.Sprintf(`respect_schedule_cache_ops_total{cache="%s",op="miss"} 1`, tc.engine),
+			fmt.Sprintf(`respect_schedule_cache_ops_total{cache="%s",op="evict"} 0`, tc.engine),
 		}
-	}
-	if winSum != 1 {
-		t.Fatalf("portfolio wins sum to %d, want exactly 1\n%s", winSum, page)
+		for _, b := range tc.members {
+			want = append(want, fmt.Sprintf(`respect_backend_schedule_duration_seconds_count{engine="%s",backend="%s"} 1`, tc.engine, b))
+		}
+		for _, w := range want {
+			if !strings.Contains(page, w) {
+				t.Errorf("exposition missing %q", w)
+			}
+		}
+		// Exactly one race ran, so wins across the members must sum to 1
+		// and every member was observed once (win or loss).
+		hits, misses := p.Stats()
+		if hits != 2 || misses != 1 {
+			t.Fatalf("%s: stats (%d hits, %d misses), want (2, 1)", tc.engine, hits, misses)
+		}
+		winSum := 0
+		for _, b := range tc.members {
+			if strings.Contains(page, fmt.Sprintf(`respect_portfolio_wins_total{engine="%s",backend="%s"} 1`, tc.engine, b)) {
+				winSum++
+			}
+		}
+		if winSum != 1 {
+			t.Fatalf("%s: wins sum to %d, want exactly 1\n%s", tc.engine, winSum, page)
+		}
 	}
 }
 
@@ -90,7 +103,7 @@ func TestEvictionHookCountsEvictions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCached(heur, 1)
+	c := NewEngine([]Scheduler{heur}, 1, PortfolioOptions{})
 	c.Instrument(ins, "tiny")
 
 	g1, g2 := chainGraph(t, "ev-a", 4), chainGraph(t, "ev-b", 5)
@@ -129,7 +142,7 @@ func TestCacheSetZeroCapacityRegression(t *testing.T) {
 		if c.Len() != 1 {
 			t.Fatalf("capacity %d: schedule not retained (len=%d): capacity guard lost", capacity, c.Len())
 		}
-		if _, hit, _, err := c.ScheduleTracked(context.Background(), g, 2); err != nil || !hit {
+		if _, hit, err := c.Run(context.Background(), g, 2); err != nil || !hit {
 			t.Fatalf("capacity %d: repeat lookup hit=%v err=%v, want a cache hit", capacity, hit, err)
 		}
 		if ev := c.Evictions(); ev != 0 {
@@ -137,12 +150,12 @@ func TestCacheSetZeroCapacityRegression(t *testing.T) {
 		}
 	}
 
-	// The same guard must hold for the portfolio memo cache.
-	backends, err := Resolve("heur")
+	// The same guard must hold for a multi-member engine.
+	backends, err := Resolve("heur", "compiler")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewCachedPortfolio(backends, 0, PortfolioOptions{})
+	p := NewEngine(backends, 0, PortfolioOptions{})
 	g := chainGraph(t, "zerocap-p", 6)
 	if _, _, err := p.Run(context.Background(), g, 2); err != nil {
 		t.Fatal(err)
@@ -164,7 +177,7 @@ func TestOutcomeStartedOffsets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Portfolio(context.Background(), backends, chainGraph(t, "started", 7), 3)
+	res, err := Portfolio(context.Background(), backends, chainGraph(t, "started", 7), 3, PortfolioOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,13 +67,9 @@ type PortfolioOptions struct {
 // context; when the race is decided the derived context is cancelled, so
 // no goroutine outlives the call. Backends that error or return invalid
 // schedules are excluded; the call fails only when no backend produced a
-// valid schedule or the caller's context was cancelled outright.
-func Portfolio(ctx context.Context, backends []Scheduler, g *graph.Graph, numStages int) (PortfolioResult, error) {
-	return PortfolioOpt(ctx, backends, g, numStages, PortfolioOptions{})
-}
-
-// PortfolioOpt is Portfolio with explicit options.
-func PortfolioOpt(ctx context.Context, backends []Scheduler, g *graph.Graph, numStages int, opts PortfolioOptions) (PortfolioResult, error) {
+// valid schedule or the caller's context was cancelled outright. opts
+// tunes the race; the zero value waits for every backend.
+func Portfolio(ctx context.Context, backends []Scheduler, g *graph.Graph, numStages int, opts PortfolioOptions) (PortfolioResult, error) {
 	if len(backends) == 0 {
 		return PortfolioResult{}, errors.New("solver: portfolio needs at least one backend")
 	}
@@ -153,138 +149,4 @@ func firstErr(outs []Outcome) error {
 		}
 	}
 	return errors.New("no error recorded")
-}
-
-// CachedPortfolio memoizes portfolio races by graph fingerprint and stage
-// count, preserving per-backend telemetry. A hit returns the stored race
-// result in O(1) (with a defensively copied schedule); a miss races the
-// backends and stores the result unless it was budget-truncated — a cut
-// incumbent is only as good as the call's deadline and must not shadow a
-// later full-effort race. This is the serving layer's per-request-class
-// engine: one CachedPortfolio per class, warmed from the model zoo.
-type CachedPortfolio struct {
-	backends []Scheduler
-	opts     PortfolioOptions
-	lru      *lru
-
-	ins    *Instruments
-	engine string
-}
-
-// NewCachedPortfolio builds a cached race over backends with at most
-// capacity memoized results (capacity < 1 defaults to 256).
-func NewCachedPortfolio(backends []Scheduler, capacity int, opts PortfolioOptions) *CachedPortfolio {
-	return &CachedPortfolio{backends: backends, lru: newLRU(capacity), opts: opts}
-}
-
-// Instrument attaches the memo cache's hit/miss/eviction counters and
-// per-backend race telemetry (latency, win/loss/truncation) to ins under
-// the given engine name — the serving layer passes the request class.
-// Call once, before the engine serves traffic.
-func (p *CachedPortfolio) Instrument(ins *Instruments, engine string) {
-	ins.instrumentLRU(engine, p.lru)
-	p.ins, p.engine = ins, engine
-}
-
-// Backends returns the raced backend names, in race order.
-func (p *CachedPortfolio) Backends() []string {
-	names := make([]string, len(p.backends))
-	for i, b := range p.backends {
-		names[i] = b.Name()
-	}
-	return names
-}
-
-// Run races the portfolio on (g, numStages), serving memoized results when
-// available. hit reports a cache hit; on a hit the Outcomes telemetry
-// (elapsed times, per-backend costs) is that of the original race and the
-// result is shared — callers must treat Outcomes as read-only.
-func (p *CachedPortfolio) Run(ctx context.Context, g *graph.Graph, numStages int) (res PortfolioResult, hit bool, err error) {
-	key := cacheKey{fp: g.Fingerprint(), numStages: numStages}
-	if v, ok := p.lru.get(key); ok {
-		res = v.(PortfolioResult)
-		res.Schedule = res.Schedule.Clone()
-		return res, true, nil
-	}
-	res, err = PortfolioOpt(ctx, p.backends, g, numStages, p.opts)
-	p.ins.ObserveOutcomes(p.engine, res.Outcomes)
-	if err != nil {
-		return res, false, err
-	}
-	if res.Truncated {
-		// A budget-cut incumbent must not shadow a later full-effort race.
-		// A full-effort winner IS stored even when slower members were cut:
-		// the memoized result means "best found within one race budget".
-		return res, false, nil
-	}
-	stored := res
-	stored.Schedule = res.Schedule.Clone()
-	// Drop every per-outcome schedule: telemetry (cost, elapsed, error)
-	// stays, the winner's assignment lives in stored.Schedule, and nothing
-	// in the cache aliases a schedule the miss caller may mutate.
-	stored.Outcomes = append([]Outcome(nil), res.Outcomes...)
-	for i := range stored.Outcomes {
-		stored.Outcomes[i].Schedule = sched.Schedule{}
-	}
-	p.lru.put(key, stored)
-	return res, false, nil
-}
-
-// Contains reports whether a full-effort race for (g, numStages) is
-// memoized, without counting toward hit/miss statistics.
-func (p *CachedPortfolio) Contains(g *graph.Graph, numStages int) bool {
-	return p.lru.contains(cacheKey{fp: g.Fingerprint(), numStages: numStages})
-}
-
-// Warm races the portfolio over every graph through a bounded worker pool
-// (jobs < 1 defaults to GOMAXPROCS), returning how many instances are
-// memoized afterwards. Best-effort, like Cached.Warm: truncated races are
-// skipped and the first error is reported after all warms ran.
-func (p *CachedPortfolio) Warm(ctx context.Context, graphs []*graph.Graph, numStages, jobs int) (stored int, err error) {
-	return warm(ctx, graphs, jobs,
-		func(ctx context.Context, g *graph.Graph) error {
-			_, _, err := p.Run(ctx, g, numStages)
-			return err
-		},
-		func(g *graph.Graph) bool { return p.Contains(g, numStages) })
-}
-
-// OnEvict registers fn to be called with the evicted instance's graph
-// fingerprint and stage count on every memo eviction; the same contract
-// as Cached.OnEvict (runs under the cache lock, keep it cheap, no
-// re-entry).
-func (p *CachedPortfolio) OnEvict(fn func(fp uint64, numStages int)) {
-	p.lru.addEvictHook(func(k cacheKey) { fn(k.fp, k.numStages) })
-}
-
-// SetEvictionScorer makes memo eviction popularity-aware; the same
-// contract as Cached.SetEvictionScorer.
-func (p *CachedPortfolio) SetEvictionScorer(score func(fp uint64, numStages int) float64) {
-	if score == nil {
-		p.lru.setVictimScorer(nil)
-		return
-	}
-	p.lru.setVictimScorer(func(k cacheKey) float64 { return score(k.fp, k.numStages) })
-}
-
-// Stats returns cumulative cache hits and misses.
-func (p *CachedPortfolio) Stats() (hits, misses uint64) { return p.lru.stats() }
-
-// Evictions returns the cumulative number of LRU evictions.
-func (p *CachedPortfolio) Evictions() uint64 { return p.lru.evicted() }
-
-// Len returns the number of memoized races.
-func (p *CachedPortfolio) Len() int { return p.lru.len() }
-
-// PortfolioScheduler wraps a fixed backend set as a Scheduler, so a
-// portfolio composes with the Batch engine and the schedule cache like any
-// single backend.
-func PortfolioScheduler(name string, opts PortfolioOptions, backends ...Scheduler) Scheduler {
-	return NewFunc(name, func(ctx context.Context, g *graph.Graph, numStages int) (sched.Schedule, error) {
-		res, err := PortfolioOpt(ctx, backends, g, numStages, opts)
-		if err != nil {
-			return sched.Schedule{}, err
-		}
-		return res.Schedule, nil
-	})
 }

@@ -56,7 +56,7 @@ func TestReplaceInFlightFinishesOnOldAgent(t *testing.T) {
 	}
 	inflight := make(chan res, 1)
 	go func() {
-		out, err := Portfolio(context.Background(), []Scheduler{dyn}, g, 2)
+		out, err := Portfolio(context.Background(), []Scheduler{dyn}, g, 2, PortfolioOptions{})
 		inflight <- res{out, err}
 	}()
 	// Wait until the in-flight solve is inside gen0, then hot-reload.
@@ -86,7 +86,7 @@ func TestReplaceInFlightFinishesOnOldAgent(t *testing.T) {
 	}
 
 	// A fresh request through the same dynamic handle sees gen 1.
-	out, err := Portfolio(context.Background(), []Scheduler{dyn}, g, 2)
+	out, err := Portfolio(context.Background(), []Scheduler{dyn}, g, 2, PortfolioOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestReplaceHammer(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				out, err := Portfolio(context.Background(), []Scheduler{dyn, heur}, g, 3)
+				out, err := Portfolio(context.Background(), []Scheduler{dyn, heur}, g, 3, PortfolioOptions{})
 				if err != nil {
 					t.Error(err)
 					return

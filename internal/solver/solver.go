@@ -4,15 +4,18 @@
 // classic heuristics, compiler emulation), a named registry to enumerate
 // and resolve them, and concurrent engines built on top — Portfolio races
 // backends under one deadline and returns the cheapest deployable
-// schedule; Batch schedules many graphs through a bounded worker pool;
-// Cached memoizes schedules by graph fingerprint.
+// schedule; Engine memoizes those races by graph fingerprint (a
+// single-backend cache is a one-member race); Batch schedules many graphs
+// through a bounded worker pool.
 //
 // Every Scheduler returns deployment-ready schedules (pipeline-monotone
 // and hardware-repaired via sched.PostProcess), so costs are directly
 // comparable across backends and a Portfolio winner can be deployed
 // without further processing. Backends honor context cancellation: when
-// the deadline expires mid-search, anytime backends (exact, ilp, anneal)
-// return their incumbent rather than blocking.
+// the deadline expires mid-search, the anytime backends (exact,
+// exact-ilp-grade, ilp) return their incumbent rather than blocking. The
+// heuristics (anneal included, which runs a fixed iteration count) only
+// check ctx before they start.
 package solver
 
 import (
@@ -48,7 +51,7 @@ type Info struct {
 }
 
 // InfoScheduler is implemented by backends that report Info alongside the
-// schedule. The schedule cache refuses to store truncated incumbents, and
+// schedule. The Engine refuses to store truncated incumbents, and
 // the CLI uses Info to caption results honestly.
 type InfoScheduler interface {
 	Scheduler

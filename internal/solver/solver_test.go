@@ -60,7 +60,7 @@ func (b *blocker) Schedule(ctx context.Context, g *graph.Graph, numStages int) (
 
 func TestRegistryBuiltins(t *testing.T) {
 	names := Names()
-	for _, want := range []string{"exact", "exact-ilp-grade", "ilp", "heur", "compiler", "compiler-full", "hu", "list", "force", "dp", "anneal"} {
+	for _, want := range []string{"exact", "exact-ilp-grade", "ilp", "heur", "compiler", "compiler-full", "hu", "list", "force", "anneal"} {
 		found := false
 		for _, n := range names {
 			if n == want {
@@ -135,7 +135,7 @@ func TestPortfolioPicksMinCost(t *testing.T) {
 	// Bad: everything in one stage (peak 400). Good: perfectly split.
 	bad := sched.Schedule{NumStages: 2, Stage: []int{0, 0, 0, 0}}
 	good := sched.Schedule{NumStages: 2, Stage: []int{0, 0, 1, 1}}
-	res, err := Portfolio(context.Background(), []Scheduler{fixed("bad", bad), fixed("good", good)}, g, 2)
+	res, err := Portfolio(context.Background(), []Scheduler{fixed("bad", bad), fixed("good", good)}, g, 2, PortfolioOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestPortfolioBeatsEveryMember(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Portfolio(ctx, backends, g, 4)
+	res, err := Portfolio(ctx, backends, g, 4, PortfolioOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestPortfolioCancelsLosers(t *testing.T) {
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	res, err := PortfolioOpt(ctx, []Scheduler{fixed("fast", good), slow}, g, 2,
+	res, err := Portfolio(ctx, []Scheduler{fixed("fast", good), slow}, g, 2,
 		PortfolioOptions{Patience: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +220,7 @@ func TestPortfolioDeadlineReturnsIncumbents(t *testing.T) {
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
 	defer cancel()
-	res, err := Portfolio(ctx, backends, g, 6)
+	res, err := Portfolio(ctx, backends, g, 6, PortfolioOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,11 +239,11 @@ func TestPortfolioAllFail(t *testing.T) {
 	})
 	// An invalid schedule (dependency violation) must be excluded too.
 	invalid := fixed("invalid", sched.Schedule{NumStages: 2, Stage: []int{1, 0}})
-	_, err := Portfolio(context.Background(), []Scheduler{boom, invalid}, g, 2)
+	_, err := Portfolio(context.Background(), []Scheduler{boom, invalid}, g, 2, PortfolioOptions{})
 	if err == nil {
 		t.Fatal("want error when every backend fails")
 	}
-	if _, err := Portfolio(context.Background(), nil, g, 2); err == nil {
+	if _, err := Portfolio(context.Background(), nil, g, 2, PortfolioOptions{}); err == nil {
 		t.Fatal("want error for an empty portfolio")
 	}
 }
@@ -324,7 +324,7 @@ func TestCachedHitReturnsIdenticalSchedule(t *testing.T) {
 		}
 		return s.Schedule(ctx, g, numStages)
 	})
-	c := NewCached(inner, 8)
+	c := NewEngine([]Scheduler{inner}, 8, PortfolioOptions{})
 	g := randomDAG(3, 15)
 
 	s1, err := c.Schedule(context.Background(), g, 4)
@@ -377,32 +377,59 @@ func (tr *truncating) ScheduleInfo(ctx context.Context, g *graph.Graph, numStage
 	return sched.NewSchedule(g.NumNodes(), numStages), Info{Truncated: true}, nil
 }
 
-func TestCachedRefusesTruncatedIncumbents(t *testing.T) {
-	inner := &truncating{}
-	c := NewCached(inner, 8)
-	g := chain(5, 5)
-	ctx := context.Background()
-	for i := 0; i < 3; i++ {
-		if _, hit, _, err := c.ScheduleTracked(ctx, g, 2); err != nil || hit {
-			t.Fatalf("call %d: hit=%v err=%v; truncated incumbents must never be cached", i, hit, err)
-		}
-	}
-	if inner.calls != 3 {
-		t.Fatalf("inner called %d times, want 3 (no caching)", inner.calls)
-	}
-	// A result computed under an already-expired context must not be
-	// cached either, even when the backend reports no truncation.
-	heurB, _ := Lookup("heur")
-	c2 := NewCached(NewFunc("expired", func(ctx context.Context, g *graph.Graph, numStages int) (sched.Schedule, error) {
-		return heurB.Schedule(context.Background(), g, numStages)
-	}), 8)
-	expired, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, _, err := c2.ScheduleTracked(expired, g, 2); err != nil {
+// ctxBlind resolves name from the registry but solves with a background
+// context, so its results come back even after the caller's ctx died.
+func ctxBlind(t *testing.T, name string) Scheduler {
+	t.Helper()
+	b, err := Lookup(name)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if c2.Len() != 0 {
-		t.Fatal("result solved under a cancelled context was cached")
+	return NewFunc("blind-"+name, func(ctx context.Context, g *graph.Graph, numStages int) (sched.Schedule, error) {
+		return b.Schedule(context.Background(), g, numStages)
+	})
+}
+
+// TestCachedRefusesTruncatedIncumbents pins the Engine's store rule for a
+// one-member and a two-member race: a truncated winner is never stored,
+// and neither is a full-effort winner that finished after the caller's
+// context died.
+func TestCachedRefusesTruncatedIncumbents(t *testing.T) {
+	g := chain(5, 5)
+	ctx := context.Background()
+	for _, members := range []int{1, 2} {
+		inners := make([]*truncating, members)
+		backends := make([]Scheduler, members)
+		for i := range inners {
+			inners[i] = &truncating{}
+			backends[i] = inners[i]
+		}
+		e := NewEngine(backends, 8, PortfolioOptions{})
+		for i := 0; i < 3; i++ {
+			res, hit, err := e.Run(ctx, g, 2)
+			if err != nil || hit || !res.Truncated {
+				t.Fatalf("members=%d call %d: hit=%v truncated=%v err=%v; truncated incumbents must never be cached",
+					members, i, hit, res.Truncated, err)
+			}
+		}
+		for i, inner := range inners {
+			if inner.calls != 3 {
+				t.Fatalf("members=%d: backend %d called %d times, want 3 (no caching)", members, i, inner.calls)
+			}
+		}
+
+		// A result computed under an already-expired context must not be
+		// cached either, even when no backend reports truncation.
+		blind := []Scheduler{ctxBlind(t, "heur"), ctxBlind(t, "compiler")}[:members]
+		e2 := NewEngine(blind, 8, PortfolioOptions{})
+		expired, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, _, err := e2.Run(expired, g, 2); err != nil {
+			t.Fatal(err)
+		}
+		if e2.Len() != 0 {
+			t.Fatalf("members=%d: result solved under a cancelled context was cached", members)
+		}
 	}
 }
 
@@ -433,7 +460,7 @@ func TestExactBackendReportsInfo(t *testing.T) {
 
 func TestCachedEviction(t *testing.T) {
 	heurB, _ := Lookup("heur")
-	c := NewCached(heurB, 2)
+	c := NewEngine([]Scheduler{heurB}, 2, PortfolioOptions{})
 	g1, g2, g3 := randomDAG(11, 8), randomDAG(12, 9), randomDAG(13, 10)
 	ctx := context.Background()
 	for _, g := range []*graph.Graph{g1, g2, g3} {
@@ -455,7 +482,7 @@ func TestCachedEviction(t *testing.T) {
 
 func TestBatchReportsCacheHits(t *testing.T) {
 	heurB, _ := Lookup("heur")
-	c := NewCached(heurB, 8)
+	c := NewEngine([]Scheduler{heurB}, 8, PortfolioOptions{})
 	g := randomDAG(21, 12)
 	graphs := []*graph.Graph{g, g, g, g}
 	results, err := Batch(context.Background(), c, graphs, 4, 1)
@@ -477,7 +504,10 @@ func TestPortfolioSchedulerComposesWithBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := PortfolioScheduler("mini-portfolio", PortfolioOptions{}, backends...)
+	p := NewEngine(backends, 8, PortfolioOptions{})
+	if p.Name() != "portfolio(heur,compiler,hu)" {
+		t.Fatalf("engine name = %q", p.Name())
+	}
 	graphs := []*graph.Graph{randomDAG(31, 10), randomDAG(32, 14), randomDAG(33, 18)}
 	results, err := Batch(context.Background(), p, graphs, 4, 3)
 	if err != nil {
@@ -500,48 +530,54 @@ func TestPortfolioSchedulerComposesWithBatch(t *testing.T) {
 }
 
 func TestBatchDedupsDuplicateFingerprints(t *testing.T) {
-	heurB, _ := Lookup("heur")
-	c := NewCached(heurB, 8)
-	a, b := randomDAG(41, 14), randomDAG(42, 14)
-	graphs := []*graph.Graph{a, b, a, a, b}
-	results, err := Batch(context.Background(), c, graphs, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("item %d: %v", i, r.Err)
+	for _, names := range [][]string{{"heur"}, {"heur", "compiler"}} {
+		backends, err := Resolve(names...)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, i := range []int{0, 1} {
-		if results[i].Deduped {
-			t.Fatalf("representative %d marked deduped", i)
+		c := NewEngine(backends, 8, PortfolioOptions{})
+		a, b := randomDAG(41, 14), randomDAG(42, 14)
+		graphs := []*graph.Graph{a, b, a, a, b}
+		results, err := Batch(context.Background(), c, graphs, 4, 2)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, i := range []int{2, 3, 4} {
-		if !results[i].Deduped || !results[i].CacheHit {
-			t.Fatalf("duplicate %d: Deduped=%v CacheHit=%v", i, results[i].Deduped, results[i].CacheHit)
+		for i, r := range results {
+			if r.Err != nil {
+				t.Fatalf("%v: item %d: %v", names, i, r.Err)
+			}
 		}
-	}
-	// Duplicates carry the representative's exact schedule and cost.
-	if results[2].Cost != results[0].Cost || results[4].Cost != results[1].Cost {
-		t.Fatal("duplicate cost diverges from representative")
-	}
-	for v := range results[0].Schedule.Stage {
-		if results[2].Schedule.Stage[v] != results[0].Schedule.Stage[v] {
-			t.Fatalf("duplicate schedule diverges at node %d", v)
+		for _, i := range []int{0, 1} {
+			if results[i].Deduped {
+				t.Fatalf("%v: representative %d marked deduped", names, i)
+			}
 		}
-	}
-	// Deduped duplicates never reached the backend — the cache solved
-	// exactly two distinct instances (both misses) — but each dedup fill
-	// still counts as a hit, so Stats is independent of the optimization.
-	if hits, misses := c.Stats(); hits != 3 || misses != 2 {
-		t.Fatalf("cache saw hits=%d misses=%d, want 3/2", hits, misses)
-	}
-	// A mutated duplicate's schedule must not alias the representative's.
-	results[2].Schedule.Stage[0] = -99
-	if results[0].Schedule.Stage[0] == -99 {
-		t.Fatal("duplicate schedule aliases representative storage")
+		for _, i := range []int{2, 3, 4} {
+			if !results[i].Deduped || !results[i].CacheHit {
+				t.Fatalf("%v: duplicate %d: Deduped=%v CacheHit=%v", names, i, results[i].Deduped, results[i].CacheHit)
+			}
+		}
+		// Duplicates carry the representative's exact schedule and cost.
+		if results[2].Cost != results[0].Cost || results[4].Cost != results[1].Cost {
+			t.Fatalf("%v: duplicate cost diverges from representative", names)
+		}
+		for v := range results[0].Schedule.Stage {
+			if results[2].Schedule.Stage[v] != results[0].Schedule.Stage[v] {
+				t.Fatalf("%v: duplicate schedule diverges at node %d", names, v)
+			}
+		}
+		// Deduped duplicates never reached the backends — the engine raced
+		// exactly two distinct instances (both misses) — but each dedup
+		// fill still counts as a hit, so Stats is independent of the
+		// optimization.
+		if hits, misses := c.Stats(); hits != 3 || misses != 2 {
+			t.Fatalf("%v: engine saw hits=%d misses=%d, want 3/2", names, hits, misses)
+		}
+		// A mutated duplicate's schedule must not alias the representative's.
+		results[2].Schedule.Stage[0] = -99
+		if results[0].Schedule.Stage[0] == -99 {
+			t.Fatalf("%v: duplicate schedule aliases representative storage", names)
+		}
 	}
 }
 

@@ -1,10 +1,12 @@
-// Concurrency stress tests: hammer the Cached and CachedPortfolio engines
-// from many goroutines under the race detector, asserting cache statistics
-// stay consistent and cancelled solves never write into the caches.
+// Concurrency stress tests: hammer the Engine, as a one-member cache and
+// as a multi-member race, from many goroutines under the race detector,
+// asserting cache statistics stay consistent and cancelled solves never
+// write into the memo.
 package solver
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -12,73 +14,85 @@ import (
 	"time"
 
 	"respect/internal/graph"
-	"respect/internal/sched"
 )
 
-func TestCachedConcurrentStress(t *testing.T) {
-	heurB, err := Lookup("heur")
+// memberSets are the race shapes every caching test runs: a one-member
+// engine (the single-backend cache) and a multi-member race.
+var memberSets = [][]string{{"heur"}, {"heur", "compiler", "hu"}}
+
+func resolveEngine(t *testing.T, names []string, capacity int) *Engine {
+	t.Helper()
+	backends, err := Resolve(names...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCached(heurB, 64)
-	graphs := make([]*graph.Graph, 8)
-	for i := range graphs {
-		graphs[i] = randomDAG(int64(100+i), 12+i)
-	}
+	return NewEngine(backends, capacity, PortfolioOptions{})
+}
 
-	const (
-		workers = 16
-		iters   = 64
-	)
-	var calls, hits atomic.Uint64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < iters; i++ {
-				g := graphs[rng.Intn(len(graphs))]
-				s, hit, _, err := c.ScheduleTracked(context.Background(), g, 3)
-				if err != nil {
-					t.Errorf("worker %d: %v", seed, err)
-					return
-				}
-				if err := s.Validate(g); err != nil {
-					t.Errorf("worker %d: invalid schedule: %v", seed, err)
-					return
-				}
-				calls.Add(1)
-				if hit {
-					hits.Add(1)
+func TestCachedConcurrentStress(t *testing.T) {
+	for _, names := range memberSets {
+		t.Run(fmt.Sprint(len(names)), func(t *testing.T) {
+			c := resolveEngine(t, names, 64)
+			graphs := make([]*graph.Graph, 8)
+			for i := range graphs {
+				graphs[i] = randomDAG(int64(100+i), 12+i)
+			}
+
+			const (
+				workers = 16
+				iters   = 64
+			)
+			var calls, hits atomic.Uint64
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(seed int64) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(seed))
+					for i := 0; i < iters; i++ {
+						g := graphs[rng.Intn(len(graphs))]
+						res, hit, err := c.Run(context.Background(), g, 3)
+						if err != nil {
+							t.Errorf("worker %d: %v", seed, err)
+							return
+						}
+						if err := res.Schedule.Validate(g); err != nil {
+							t.Errorf("worker %d: invalid schedule: %v", seed, err)
+							return
+						}
+						calls.Add(1)
+						if hit {
+							hits.Add(1)
+						}
+					}
+				}(int64(w))
+			}
+			wg.Wait()
+
+			gotHits, gotMisses := c.Stats()
+			if gotHits+gotMisses != calls.Load() {
+				t.Fatalf("stats leak: %d hits + %d misses != %d calls", gotHits, gotMisses, calls.Load())
+			}
+			if gotHits != hits.Load() {
+				t.Fatalf("hit accounting differs: stats %d, callers observed %d", gotHits, hits.Load())
+			}
+			// One key per (graph, stages) pair; concurrent misses on a key
+			// may each solve, but the table can never exceed the key universe.
+			if c.Len() > len(graphs) {
+				t.Fatalf("cache holds %d entries for %d keys", c.Len(), len(graphs))
+			}
+			// After the churn, every key is warm: a full sweep is all hits.
+			before, _ := c.Stats()
+			for _, g := range graphs {
+				if _, hit, err := c.Run(context.Background(), g, 3); err != nil || !hit {
+					t.Fatalf("post-churn sweep: hit=%v err=%v", hit, err)
 				}
 			}
-		}(int64(w))
-	}
-	wg.Wait()
-
-	gotHits, gotMisses := c.Stats()
-	if gotHits+gotMisses != calls.Load() {
-		t.Fatalf("stats leak: %d hits + %d misses != %d calls", gotHits, gotMisses, calls.Load())
-	}
-	if gotHits != hits.Load() {
-		t.Fatalf("hit accounting differs: stats %d, callers observed %d", gotHits, hits.Load())
-	}
-	// One key per (graph, stages) pair; concurrent misses on a key may
-	// each solve, but the table can never exceed the key universe.
-	if c.Len() > len(graphs) {
-		t.Fatalf("cache holds %d entries for %d keys", c.Len(), len(graphs))
-	}
-	// After the churn, every key is warm: a full sweep is all hits.
-	before, _ := c.Stats()
-	for _, g := range graphs {
-		if _, hit, _, err := c.ScheduleTracked(context.Background(), g, 3); err != nil || !hit {
-			t.Fatalf("post-churn sweep: hit=%v err=%v", hit, err)
-		}
-	}
-	after, _ := c.Stats()
-	if after-before != uint64(len(graphs)) {
-		t.Fatalf("sweep hits = %d, want %d", after-before, len(graphs))
+			after, _ := c.Stats()
+			if after-before != uint64(len(graphs)) {
+				t.Fatalf("sweep hits = %d, want %d", after-before, len(graphs))
+			}
+		})
 	}
 }
 
@@ -86,142 +100,140 @@ func TestCachedConcurrentStress(t *testing.T) {
 // concurrent solves and asserts nothing computed under a dead context is
 // ever stored.
 func TestCachedNoPostCancellationWrites(t *testing.T) {
-	// The inner backend ignores ctx (solves with a background context), so
-	// results DO come back after cancellation — the cache must still
+	// The backends ignore ctx (they solve with a background context), so
+	// results DO come back after cancellation — the engine must still
 	// refuse them because the caller's ctx is dead.
-	heurB, err := Lookup("heur")
-	if err != nil {
-		t.Fatal(err)
-	}
-	inner := NewFunc("ctx-blind", func(ctx context.Context, g *graph.Graph, numStages int) (sched.Schedule, error) {
-		return heurB.Schedule(context.Background(), g, numStages)
-	})
-	c := NewCached(inner, 64)
-
-	var wg sync.WaitGroup
-	for w := 0; w < 16; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			g := randomDAG(200+seed, 14)
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel() // dead before the solve starts
-			s, hit, _, err := c.ScheduleTracked(ctx, g, 3)
-			if err != nil || hit {
-				t.Errorf("worker %d: hit=%v err=%v", seed, hit, err)
-				return
-			}
-			if err := s.Validate(g); err != nil {
-				t.Errorf("worker %d: %v", seed, err)
-			}
-		}(int64(w))
-	}
-	wg.Wait()
-	if c.Len() != 0 {
-		t.Fatalf("%d schedules were cached despite cancelled contexts", c.Len())
-	}
-	if hits, _ := c.Stats(); hits != 0 {
-		t.Fatalf("impossible hits: %d", hits)
-	}
-}
-
-func TestCachedPortfolioConcurrentStress(t *testing.T) {
-	backends, err := Resolve("heur", "compiler", "hu")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewCachedPortfolio(backends, 64, PortfolioOptions{})
-	graphs := make([]*graph.Graph, 6)
-	for i := range graphs {
-		graphs[i] = randomDAG(int64(300+i), 10+2*i)
-	}
-
-	var calls atomic.Uint64
-	var wg sync.WaitGroup
-	for w := 0; w < 12; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 32; i++ {
-				g := graphs[rng.Intn(len(graphs))]
-				res, _, err := p.Run(context.Background(), g, 4)
-				if err != nil {
-					t.Errorf("worker %d: %v", seed, err)
+	for _, members := range [][]Scheduler{
+		{ctxBlind(t, "heur")},
+		{ctxBlind(t, "heur"), ctxBlind(t, "compiler")},
+	} {
+		c := NewEngine(members, 64, PortfolioOptions{})
+		var wg sync.WaitGroup
+		for w := 0; w < 16; w++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				g := randomDAG(200+seed, 14)
+				ctx, cancel := context.WithCancel(context.Background())
+				cancel() // dead before the solve starts
+				res, hit, err := c.Run(ctx, g, 3)
+				if err != nil || hit {
+					t.Errorf("worker %d: hit=%v err=%v", seed, hit, err)
 					return
 				}
 				if err := res.Schedule.Validate(g); err != nil {
 					t.Errorf("worker %d: %v", seed, err)
-					return
 				}
-				if res.Truncated {
-					t.Errorf("worker %d: heuristics truncated without a deadline", seed)
-					return
-				}
-				calls.Add(1)
-			}
-		}(int64(w))
-	}
-	wg.Wait()
-	hits, misses := p.Stats()
-	if hits+misses != calls.Load() {
-		t.Fatalf("stats leak: %d + %d != %d", hits, misses, calls.Load())
-	}
-	if p.Len() > len(graphs) {
-		t.Fatalf("cache holds %d entries for %d keys", p.Len(), len(graphs))
-	}
-	// Warm on an already-hot cache is a no-op that still reports coverage.
-	stored, err := p.Warm(context.Background(), graphs, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stored != len(graphs) {
-		t.Fatalf("warm coverage = %d, want %d", stored, len(graphs))
+			}(int64(w))
+		}
+		wg.Wait()
+		if c.Len() != 0 {
+			t.Fatalf("%s: %d results were cached despite cancelled contexts", c.Name(), c.Len())
+		}
+		if hits, _ := c.Stats(); hits != 0 {
+			t.Fatalf("%s: impossible hits: %d", c.Name(), hits)
+		}
 	}
 }
 
-// TestPortfolioStressUnderCancellation races portfolios whose contexts die
-// at random points; no run may panic, deadlock, or write a truncated
-// result into a CachedPortfolio.
-func TestPortfolioStressUnderCancellation(t *testing.T) {
-	backends, err := Resolve("heur", "exact")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewCachedPortfolio(backends, 64, PortfolioOptions{})
-	g := randomDAG(999, 24)
+func TestCachedPortfolioConcurrentStress(t *testing.T) {
+	for _, names := range memberSets {
+		t.Run(fmt.Sprint(len(names)), func(t *testing.T) {
+			p := resolveEngine(t, names, 64)
+			graphs := make([]*graph.Graph, 6)
+			for i := range graphs {
+				graphs[i] = randomDAG(int64(300+i), 10+2*i)
+			}
 
-	var wg sync.WaitGroup
-	for w := 0; w < 12; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 8; i++ {
-				ctx, cancel := context.WithTimeout(context.Background(), time.Duration(rng.Intn(2000))*time.Microsecond)
-				res, _, err := p.Run(ctx, g, 4)
-				cancel()
-				if err != nil {
-					continue // cancelled before any backend finished
+			var calls atomic.Uint64
+			var wg sync.WaitGroup
+			for w := 0; w < 12; w++ {
+				wg.Add(1)
+				go func(seed int64) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(seed))
+					for i := 0; i < 32; i++ {
+						g := graphs[rng.Intn(len(graphs))]
+						res, _, err := p.Run(context.Background(), g, 4)
+						if err != nil {
+							t.Errorf("worker %d: %v", seed, err)
+							return
+						}
+						if err := res.Schedule.Validate(g); err != nil {
+							t.Errorf("worker %d: %v", seed, err)
+							return
+						}
+						if res.Truncated {
+							t.Errorf("worker %d: heuristics truncated without a deadline", seed)
+							return
+						}
+						calls.Add(1)
+					}
+				}(int64(w))
+			}
+			wg.Wait()
+			hits, misses := p.Stats()
+			if hits+misses != calls.Load() {
+				t.Fatalf("stats leak: %d + %d != %d", hits, misses, calls.Load())
+			}
+			if p.Len() > len(graphs) {
+				t.Fatalf("cache holds %d entries for %d keys", p.Len(), len(graphs))
+			}
+			// Warm on an already-hot cache is a no-op that still reports
+			// coverage.
+			stored, err := p.Warm(context.Background(), graphs, 4, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stored != len(graphs) {
+				t.Fatalf("warm coverage = %d, want %d", stored, len(graphs))
+			}
+		})
+	}
+}
+
+// TestPortfolioStressUnderCancellation races engines whose contexts die
+// at random points; no run may panic, deadlock, or store a truncated
+// result.
+func TestPortfolioStressUnderCancellation(t *testing.T) {
+	for _, names := range [][]string{{"exact"}, {"heur", "exact"}} {
+		t.Run(fmt.Sprint(len(names)), func(t *testing.T) {
+			p := resolveEngine(t, names, 64)
+			g := randomDAG(999, 24)
+
+			var wg sync.WaitGroup
+			for w := 0; w < 12; w++ {
+				wg.Add(1)
+				go func(seed int64) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(seed))
+					for i := 0; i < 8; i++ {
+						ctx, cancel := context.WithTimeout(context.Background(), time.Duration(rng.Intn(2000))*time.Microsecond)
+						res, _, err := p.Run(ctx, g, 4)
+						cancel()
+						if err != nil {
+							continue // cancelled before any backend finished
+						}
+						if verr := res.Schedule.Validate(g); verr != nil {
+							t.Errorf("worker %d: %v", seed, verr)
+							return
+						}
+					}
+				}(int64(w))
+			}
+			wg.Wait()
+
+			// Whatever was cached must be full-effort: replaying the cached
+			// key with a generous deadline returns an untruncated result.
+			if p.Len() > 0 {
+				res, hit, err := p.Run(context.Background(), g, 4)
+				if err != nil || !hit {
+					t.Fatalf("expected a warm hit, got hit=%v err=%v", hit, err)
 				}
-				if verr := res.Schedule.Validate(g); verr != nil {
-					t.Errorf("worker %d: %v", seed, verr)
-					return
+				if res.Truncated {
+					t.Fatal("a truncated result was cached under cancellation stress")
 				}
 			}
-		}(int64(w))
-	}
-	wg.Wait()
-
-	// Whatever was cached must be full-effort: replaying each cached key
-	// with a generous deadline returns an untruncated result.
-	if p.Len() > 0 {
-		res, hit, err := p.Run(context.Background(), g, 4)
-		if err != nil || !hit {
-			t.Fatalf("expected a warm hit, got hit=%v err=%v", hit, err)
-		}
-		if res.Truncated {
-			t.Fatal("a truncated result was cached under cancellation stress")
-		}
+		})
 	}
 }

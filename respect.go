@@ -270,7 +270,7 @@ func NewBackend(name string, fn func(ctx context.Context, g *Graph, numStages in
 }
 
 // Backends lists every registered scheduler backend, sorted. The built-in
-// set (exact, exact-ilp-grade, ilp, heur, dp, compiler, compiler-full, hu,
+// set (exact, exact-ilp-grade, ilp, heur, compiler, compiler-full, hu,
 // list, force, anneal) is always present; RL backends appear once an
 // Agent registers them.
 func Backends() []string { return solver.Names() }
@@ -318,7 +318,7 @@ func SchedulePortfolio(ctx context.Context, g *Graph, numStages int, backendName
 	if err != nil {
 		return PortfolioResult{}, err
 	}
-	return solver.Portfolio(ctx, backends, g, numStages)
+	return solver.Portfolio(ctx, backends, g, numStages, solver.PortfolioOptions{})
 }
 
 // ScheduleBatch schedules many graphs with one named backend through a
@@ -327,31 +327,27 @@ func SchedulePortfolio(ctx context.Context, g *Graph, numStages int, backendName
 // repeated graphs (multi-model serving, sweeps) hit an O(1) cache, with
 // per-item hits reported in BatchResult.CacheHit.
 func ScheduleBatch(ctx context.Context, graphs []*Graph, numStages int, backendName string, jobs int) ([]BatchResult, error) {
-	b, err := cachedBackend(backendName)
+	e, err := scheduleCaches.For(backendName)
 	if err != nil {
 		return nil, err
 	}
-	return solver.Batch(ctx, b, graphs, numStages, jobs)
+	return solver.Batch(ctx, e, graphs, numStages, jobs)
 }
 
 // ScheduleWith runs one named backend on one graph, through the same
 // schedule cache as ScheduleBatch.
 func ScheduleWith(ctx context.Context, backendName string, g *Graph, numStages int) (Schedule, error) {
-	b, err := cachedBackend(backendName)
+	e, err := scheduleCaches.For(backendName)
 	if err != nil {
 		return Schedule{}, err
 	}
-	return b.Schedule(ctx, g, numStages)
+	return e.Schedule(ctx, g, numStages)
 }
 
-// scheduleCaches holds one fingerprint-keyed LRU per backend name. The
-// inner scheduler is resolved from the registry at call time, so replacing
-// a backend (agent reload) takes effect immediately.
+// scheduleCaches holds one fingerprint-memoizing engine per backend name.
+// The backend is resolved from the registry at call time, so replacing it
+// (agent reload) takes effect immediately.
 var scheduleCaches = solver.NewCacheSet(solver.Default(), 256)
-
-func cachedBackend(name string) (*solver.Cached, error) {
-	return scheduleCaches.For(name)
-}
 
 // ScheduleCacheStats reports cumulative schedule-cache hits and misses for
 // one backend name.
